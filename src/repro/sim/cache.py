@@ -17,7 +17,7 @@ to the first bank with zero identification and so on".
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -430,33 +430,42 @@ class Cache:
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """Capture tag+data state of every materialised set.
+        """Capture tag+data state of every materialised set, as arrays.
 
-        Invalid lines contribute only their LRU timestamp (their data
-        is never read, but ``last_use`` participates in victim
-        selection); ``meta`` is derived from data and is rebuilt lazily
-        after restore.
+        Lines are laid out ``assoc`` ways per set, sets in ascending
+        order (``sets``): ``valid``, ``dirty``, ``tag`` and
+        ``last_use`` are per-line vectors and ``data`` is
+        ``[lines, line_bytes]``.  ``armed`` maps the flat line index
+        (set*assoc + way) of each armed valid line to its pending bit
+        offsets.  Invalid lines contribute only their LRU timestamp
+        (their data is never read, but ``last_use`` participates in
+        victim selection); their dirty/tag/data entries are canonical
+        zeros, so stale bits in an invalid line never reach a digest.
+        ``meta`` is derived from data and is rebuilt lazily after
+        restore.
         """
-        sets = {}
-        for set_idx, ways in self._sets.items():
-            entries = []
-            for line in ways:
-                if line.valid:
-                    entries.append({
-                        "valid": True,
-                        "dirty": line.dirty,
-                        "tag": line.tag,
-                        "data": line.data.copy(),
-                        "last_use": line.last_use,
-                        "armed": (list(line.armed)
-                                  if line.armed is not None else None),
-                    })
-                else:
-                    entries.append({"valid": False,
-                                    "last_use": line.last_use})
-            sets[set_idx] = entries
-        return {"tick": self._tick, "stats": asdict(self.stats),
-                "sets": sets}
+        assoc = self.geometry.assoc
+        sets = sorted(self._sets)
+        lines = [line for set_idx in sets for line in self._sets[set_idx]]
+        valid = np.array([line.valid for line in lines], dtype=bool)
+        live = [line for line in lines if line.valid]
+        dirty = np.zeros(len(lines), dtype=bool)
+        tag = np.zeros(len(lines), dtype=np.int64)
+        data = np.zeros((len(lines), self.geometry.line_bytes),
+                        dtype=np.uint8)
+        if live:
+            dirty[valid] = [line.dirty for line in live]
+            tag[valid] = [line.tag for line in live]
+            data[valid] = [line.data for line in live]
+        armed = {sets[i // assoc] * assoc + i % assoc: list(line.armed)
+                 for i, line in enumerate(lines)
+                 if line.valid and line.armed is not None}
+        last_use = np.array([line.last_use for line in lines],
+                            dtype=np.int64)
+        return {"tick": self._tick, "stats": dict(vars(self.stats)),
+                "sets": np.array(sets, dtype=np.int64), "valid": valid,
+                "dirty": dirty, "tag": tag, "last_use": last_use,
+                "data": data, "armed": armed}
 
     def restore(self, snap: Dict[str, object]) -> None:
         """Rebuild cache contents from a :meth:`snapshot` dict.
@@ -467,17 +476,24 @@ class Cache:
         self._tick = snap["tick"]
         self.stats = CacheStats(**snap["stats"])
         self._sets = {}
-        for set_idx, entries in snap["sets"].items():
+        assoc = self.geometry.assoc
+        valid = snap["valid"].tolist()
+        dirty = snap["dirty"].tolist()
+        tag = snap["tag"].tolist()
+        last_use = snap["last_use"].tolist()
+        data, armed = snap["data"], snap["armed"]
+        for pos, set_idx in enumerate(snap["sets"].tolist()):
             ways = []
-            for entry in entries:
+            for way in range(assoc):
+                i = pos * assoc + way
                 line = CacheLine(self.geometry.line_bytes)
-                line.last_use = entry["last_use"]
-                if entry["valid"]:
+                line.last_use = last_use[i]
+                if valid[i]:
                     line.valid = True
-                    line.dirty = entry["dirty"]
-                    line.tag = entry["tag"]
-                    line.data[:] = entry["data"]
-                    armed = entry["armed"]
-                    line.armed = list(armed) if armed is not None else None
+                    line.dirty = dirty[i]
+                    line.tag = tag[i]
+                    line.data[:] = data[i]
+                    bits = armed.get(set_idx * assoc + way)
+                    line.armed = list(bits) if bits is not None else None
                 ways.append(line)
             self._sets[set_idx] = ways

@@ -36,6 +36,14 @@ Snapshots are pickled and zlib-compressed on disk::
     <checkpoint-dir>/<key>/meta.json       # manifest, written last
     <checkpoint-dir>/<key>/golden.bin      # launch stats + host reads
     <checkpoint-dir>/<key>/ckpt_<L>_<C>.bin  # snapshot at launch L, cycle C
+
+A snapshot (format 3) costs the state the workload touched, not the
+state the card has: DRAM is stored as its non-zero 4 KiB chunks (an
+index array plus a ``[k, 4096]`` byte array) and every cache as flat
+per-cache arrays over its materialised sets, so both capturing a
+snapshot and hashing it with :func:`state_digest` scale with the
+footprint.  Sets written in an older format are unreachable under the
+new key and are captured again automatically.
 """
 
 from __future__ import annotations
@@ -60,7 +68,10 @@ import numpy as np
 #:
 #: format 2: checkpoint entries carry a ``state_hash`` digest used by
 #: convergence early-exit (see :func:`state_digest`).
-SNAPSHOT_FORMAT = 2
+#: format 3: DRAM is stored as its non-zero 4 KiB chunks and each
+#: cache as flat per-cache arrays (see :meth:`GlobalMemory.snapshot`,
+#: :meth:`Cache.snapshot`).
+SNAPSHOT_FORMAT = 3
 
 #: Smallest auto-mode capture stride (cycles).
 _MIN_AUTO_STRIDE = 64
@@ -130,7 +141,9 @@ def _mix(h, obj) -> None:
     elif isinstance(obj, bytes):
         h.update(b"Y" + obj)
     elif isinstance(obj, np.ndarray):
-        h.update(b"A" + str(obj.dtype).encode() + repr(obj.shape).encode())
+        # dtype.str ("|u1", "<i8"): str(dtype) costs more than hashing
+        # a small array
+        h.update(b"A" + obj.dtype.str.encode() + repr(obj.shape).encode())
         h.update(np.ascontiguousarray(obj).tobytes())
     elif isinstance(obj, (list, tuple)):
         h.update(b"L" + str(len(obj)).encode())

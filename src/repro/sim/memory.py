@@ -33,6 +33,11 @@ ALLOC_ALIGN = 256
 #: paper's Fig. 1.
 PAGE_SIZE = 2 * 1024 * 1024
 
+#: Granularity of sparse DRAM snapshots (see
+#: :meth:`GlobalMemory.snapshot`): only non-zero chunks are captured,
+#: so a snapshot costs what the workload wrote, not the card's DRAM.
+SNAPSHOT_CHUNK = 4096
+
 
 class GlobalMemory:
     """The simulated off-chip GDDR DRAM with a bump allocator."""
@@ -139,19 +144,54 @@ class GlobalMemory:
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Capture DRAM contents and allocator state."""
-        return {"data": self.data.copy(), "next": self._next,
+        """Capture DRAM contents and allocator state, sparsely.
+
+        Only the non-zero :data:`SNAPSHOT_CHUNK`-byte chunks are kept:
+        ``chunks`` holds their indices in ascending order and ``data``
+        their bytes as a ``[k, SNAPSHOT_CHUNK]`` array (a short final
+        chunk is zero-padded).  The chunks are found by scanning all of
+        DRAM, so every write counts -- including writebacks that a
+        flipped tag sends past :meth:`mapped_end` -- and a chunk that
+        was written and zeroed again is indistinguishable from one
+        never written.
+        """
+        rows = self._rows()
+        chunks = np.flatnonzero(rows.view(np.uint64).any(axis=1))
+        data = rows[chunks]
+        tail = self.data[rows.size:]
+        if tail.any():
+            chunks = np.append(chunks, len(rows))
+            padded = np.zeros((1, SNAPSHOT_CHUNK), dtype=np.uint8)
+            padded[0, :len(tail)] = tail
+            data = np.concatenate([data, padded])
+        return {"chunks": chunks, "data": data, "next": self._next,
                 "allocations": [tuple(a) for a in self._allocations]}
 
     def restore(self, snap: dict) -> None:
-        """Rebuild DRAM and allocator from a :meth:`snapshot` dict."""
-        self.data[:] = snap["data"]
+        """Rebuild DRAM and allocator from a :meth:`snapshot` dict.
+
+        DRAM is zeroed first: chunks absent from the snapshot were zero
+        when it was taken.
+        """
+        self.data[:] = 0
+        rows = self._rows()
+        chunks, data = snap["chunks"], snap["data"]
+        whole = chunks < len(rows)
+        rows[chunks[whole]] = data[whole]
+        if not whole.all():
+            tail = self.data[rows.size:]
+            tail[:] = data[-1, :len(tail)]
         self._next = snap["next"]
         self._allocations = [tuple(a) for a in snap["allocations"]]
         self._starts = np.array([a for a, _ in self._allocations],
                                 dtype=np.int64)
         self._ends = np.array([e for _, e in self._allocations],
                               dtype=np.int64)
+
+    def _rows(self) -> np.ndarray:
+        """The whole chunks of DRAM as a ``[n, SNAPSHOT_CHUNK]`` view."""
+        whole = self.size - self.size % SNAPSHOT_CHUNK
+        return self.data[:whole].reshape(-1, SNAPSHOT_CHUNK)
 
 
 class ConstantBank:

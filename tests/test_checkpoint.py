@@ -14,11 +14,15 @@ import pytest
 
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.targets import Structure
+from repro.sim.cache import Cache
 from repro.sim.cards import rtx_2060
 from repro.sim.checkpoint import (CheckpointRecorder, CheckpointStore,
-                                  campaign_fingerprint, _dumps, _loads)
+                                  campaign_fingerprint, state_digest,
+                                  _dumps, _loads)
+from repro.sim.config import CacheGeometry
 from repro.sim.device import Device, RunOptions
 from repro.sim.kernel import Kernel, KernelLaunch
+from repro.sim.memory import SNAPSHOT_CHUNK, GlobalMemory
 
 
 def run_campaign(tmp_path, benchmark, runs, checkpoint_dir=None,
@@ -141,8 +145,10 @@ class TestSnapshotRoundtrip:
         assert back["b"] == obj["b"]
 
     def test_gpu_state_roundtrip(self):
-        """snapshot -> clobber -> restore leaves memory, cycle and
-        stats identical."""
+        """snapshot -> clobber -> restore leaves memory, allocator,
+        cycle and stats identical.  DRAM is clobbered with a non-zero
+        pattern everywhere, so restore must also zero every chunk the
+        sparse snapshot does not carry."""
         dev = Device("RTX2060")
         out = dev.malloc(128)
         dev.launch(self.KERNEL, grid=1, block=32, params=[out])
@@ -151,13 +157,15 @@ class TestSnapshotRoundtrip:
                                       params=[out])
         snap = _loads(_dumps(gpu.snapshot(request, [])))
         cycle = gpu.cycle
-        mem = gpu.memory.snapshot()["data"].copy()
-        gpu.memory.restore({"data": np.zeros_like(mem),
-                            "next": 0, "allocations": []})
+        mem = gpu.memory.data.copy()
+        mapped_end = gpu.memory.mapped_end()
+        gpu.memory.reset()
+        gpu.memory.data[:] = 0xA5
         gpu.cycle = 0
         gpu.restore(snap, request)
         assert gpu.cycle == cycle
-        assert np.array_equal(gpu.memory.snapshot()["data"], mem)
+        assert np.array_equal(gpu.memory.data, mem)
+        assert gpu.memory.mapped_end() == mapped_end
         assert (dev.read_array(out, (32,), np.uint32) == 0x55).all()
 
     def test_recorder_writes_complete_set(self, tmp_path):
@@ -176,3 +184,104 @@ class TestSnapshotRoundtrip:
         rec = CheckpointRecorder("/tmp/unused")
         with pytest.raises(ValueError):
             RunOptions(checkpointer=rec, fast_forward=object())
+
+
+class TestSparseSnapshots:
+    """Format 3: DRAM as its non-zero chunks, caches as flat arrays."""
+
+    def launched(self):
+        dev = Device("RTX2060")
+        out = dev.malloc(128)
+        dev.memcpy_htod(out, np.arange(1, 33, dtype=np.uint32))
+        dev.launch(TestSnapshotRoundtrip.KERNEL, grid=1, block=32,
+                   params=[out])
+        request = KernelLaunch.create(TestSnapshotRoundtrip.KERNEL,
+                                      grid=1, block=32, params=[out])
+        return dev.gpu, request
+
+    def test_dram_snapshot_keeps_only_written_chunks(self):
+        gpu, _ = self.launched()
+        snap = gpu.memory.snapshot()
+        written = np.flatnonzero(
+            gpu.memory.data.reshape(-1, SNAPSHOT_CHUNK).any(axis=1))
+        assert snap["chunks"].tolist() == written.tolist()
+        assert 0 < len(written) < gpu.memory.size // SNAPSHOT_CHUNK
+        assert snap["data"].shape == (len(written), SNAPSHOT_CHUNK)
+
+    def test_write_past_mapped_end_survives_restore(self):
+        """A writeback a flipped tag sends past the mapped heap still
+        lands in DRAM, so the snapshot must carry it."""
+        gpu, request = self.launched()
+        before = state_digest(gpu.snapshot(request, []))
+        addr = gpu.memory.mapped_end() + 3 * SNAPSHOT_CHUNK + 128
+        assert addr + 128 <= gpu.memory.size
+        gpu.memory.write_line(addr, np.full(128, 0x3C, dtype=np.uint8))
+        snap = _loads(_dumps(gpu.snapshot(request, [])))
+        assert state_digest(snap) != before
+        mem = gpu.memory.data.copy()
+        gpu.memory.reset()
+        gpu.memory.data[:] = 0xA5
+        gpu.restore(snap, request)
+        assert np.array_equal(gpu.memory.data, mem)
+        assert (gpu.memory.data[addr:addr + 128] == 0x3C).all()
+
+    def test_pickled_snapshot_restores_to_same_digest(self, tmp_path):
+        """Every mid-launch checkpoint, restored from disk and captured
+        again, digests to the hash recorded at capture time -- with
+        written DRAM, a dirty L2 line and an armed hook in the state."""
+        kernel = TestSnapshotRoundtrip.KERNEL
+        recorder = CheckpointRecorder(tmp_path / "set", interval=2)
+        dev = Device("RTX2060", RunOptions(checkpointer=recorder))
+        scratch, out = dev.malloc(128), dev.malloc(128)
+        dev.memcpy_htod(scratch, np.arange(1, 33, dtype=np.uint32))
+        l2 = dev.gpu.l2
+        l2.fill(scratch, np.full(128, 0x5A, dtype=np.uint8))
+        l2.write_word(l2.peek(scratch), scratch, 7)
+        l2.arm_hook(l2.resident_index(scratch), [l2.tag_bits + 5])
+        dev.launch(kernel, grid=1, block=32, params=[out])
+        request = KernelLaunch.create(kernel, grid=1, block=32,
+                                      params=[out])
+        assert len(recorder.checkpoints) > 2
+        for entry in recorder.checkpoints:
+            snap = _loads((tmp_path / "set" / entry["file"]).read_bytes())
+            assert snap["l2"]["armed"] and snap["l2"]["dirty"].any()
+            assert len(snap["memory"]["chunks"])
+            dev.gpu.restore(snap, request)
+            again = dev.gpu.snapshot(request, [tuple(c)
+                                               for c in snap["queue"]])
+            assert state_digest(again) == entry["state_hash"]
+
+    @pytest.mark.parametrize("size", [3 * SNAPSHOT_CHUNK + 100, 1000])
+    def test_dram_size_not_a_chunk_multiple(self, size):
+        mem = GlobalMemory(size)
+        mem.write_line(size - 40, np.full(64, 0x11, dtype=np.uint8))
+        mem.write_line(0, np.full(16, 0x22, dtype=np.uint8))
+        expect = mem.data.copy()
+        snap = _loads(_dumps(mem.snapshot()))
+        mem.data[:] = 0xA5
+        mem.restore(snap)
+        assert np.array_equal(mem.data, expect)
+        assert state_digest(mem.snapshot()) == state_digest(snap)
+
+    def test_cache_restore_rebuilds_lines(self):
+        cache = Cache("t", CacheGeometry(4 * 1024, line_bytes=128,
+                                         assoc=2))
+        for i, addr in enumerate((0, 128, 2048, 256, 384)):
+            cache.fill(addr, np.full(128, i + 1, dtype=np.uint8))
+        cache.write_word(cache.peek(128), 132, 0xDEADBEEF)
+        cache.invalidate(2048)
+        cache.arm_hook(cache.resident_index(0), [3, 70])
+        snap = _loads(_dumps(cache.snapshot()))
+        back = Cache("t", cache.geometry)
+        back.restore(snap)
+        assert sorted(back._sets) == sorted(cache._sets)
+        for set_idx, ways in cache._sets.items():
+            for line, got in zip(ways, back._sets[set_idx]):
+                assert got.valid == line.valid
+                assert got.last_use == line.last_use
+                if line.valid:
+                    assert (got.dirty, got.tag, got.armed) \
+                        == (line.dirty, line.tag, line.armed)
+                    assert np.array_equal(got.data, line.data)
+        assert back._tick == cache._tick
+        assert back.stats == cache.stats

@@ -19,11 +19,14 @@ from repro.faults.early_stop import (ConvergenceMonitor, EarlyConvergence,
 from repro.faults.executor import ProgressReporter, execute_run
 from repro.faults.mask import FaultMask, MaskGenerator
 from repro.faults.targets import Structure
+from repro.sim.cache import Cache
 from repro.sim.cards import rtx_2060
 from repro.sim.checkpoint import state_digest
+from repro.sim.config import CacheGeometry
 from repro.sim.device import Device, RunOptions
 from repro.sim.kernel import Kernel
 from repro.sim.liveness import LivenessTrace
+from repro.sim.memory import GlobalMemory
 
 
 def effect_counts(result):
@@ -173,6 +176,57 @@ class TestStateDigest:
         assert state_digest({"x": 1}) != state_digest({"x": True})
         assert state_digest({"x": 1}) != state_digest({"x": 1.0})
         assert state_digest({"x": "1"}) != state_digest({"x": b"1"})
+
+    def test_array_dtype_and_shape_disambiguate(self):
+        raw = np.array([1, 2, 0xFE, 0xFF], dtype=np.uint8)
+        assert state_digest({"x": raw}) \
+            != state_digest({"x": raw.view(np.int8)})
+        assert state_digest({"x": raw}) \
+            != state_digest({"x": raw.reshape(2, 2)})
+
+    def test_zeroed_chunk_digests_like_untouched(self):
+        untouched = GlobalMemory(64 * 1024)
+        scribbled = GlobalMemory(64 * 1024)
+        scribbled.write_line(5 * 4096 + 256, np.full(128, 7, np.uint8))
+        assert state_digest(scribbled.snapshot()) \
+            != state_digest(untouched.snapshot())
+        scribbled.write_line(5 * 4096 + 256, np.zeros(128, np.uint8))
+        assert state_digest(scribbled.snapshot()) \
+            == state_digest(untouched.snapshot())
+
+    def test_stale_bits_in_invalid_lines_ignored(self):
+        """Only an invalid line's LRU timestamp is architectural: its
+        leftover tag, data and dirty bits are rewritten by the next
+        fill, so they must not split two otherwise-equal states."""
+        def cache_with(byte):
+            cache = Cache("t", CacheGeometry(4 * 1024, line_bytes=128,
+                                             assoc=2))
+            cache.fill(256, np.full(128, byte, dtype=np.uint8))
+            cache.fill(384, np.full(128, 9, dtype=np.uint8))
+            cache.invalidate(256)
+            return cache
+
+        clean, stale = cache_with(1), cache_with(2)
+        index = stale._locate(256)[0] * 2  # way 0 of 256's set
+        assert not stale.line_by_index(index).valid
+        stale.flip_bit(index, 4)  # a tag bit
+        stale.line_by_index(index).dirty = True
+        assert state_digest(clean.snapshot()) \
+            == state_digest(stale.snapshot())
+        # the same difference on a valid line is architectural
+        live = stale.resident_index(384)
+        stale.flip_bit(live, stale.tag_bits + 9)
+        assert state_digest(clean.snapshot()) \
+            != state_digest(stale.snapshot())
+
+    def test_untouched_set_differs_from_invalid_set(self):
+        """A materialised all-invalid set is not an untouched one."""
+        geometry = CacheGeometry(4 * 1024, line_bytes=128, assoc=2)
+        untouched, materialised = Cache("t", geometry), Cache("t", geometry)
+        materialised.flip_bit(6, 3)  # materialises set 3, all invalid
+        assert not any(ln.valid for ln in materialised._sets[3])
+        assert state_digest(untouched.snapshot()) \
+            != state_digest(materialised.snapshot())
 
     def test_checkpoints_carry_state_hash(self, tmp_path):
         from repro.sim.checkpoint import CheckpointRecorder
