@@ -13,9 +13,9 @@ Correctness never depends on the batching:
   and is simply re-run through :func:`~repro.faults.executor
   .execute_run` -- records are pure functions of their specs, so the
   solo record is the record;
-- any unexpected condition inside a pack (a non-golden host read, a
-  checkpoint problem, an abnormal pack result) aborts the whole pack
-  and every unresolved member falls back to the solo path;
+- a condition outside the pack's invariants (a non-golden host read,
+  an abnormal pack result) raises :class:`PackAbort`: the whole pack
+  aborts and every member falls back to the solo path;
 - ineligible specs (cache/control structures, persistent fault
   models, pre-screened or synthesized runs, verify/propagation
   modes) are never packed at all.
@@ -131,16 +131,17 @@ def group_packs(pending: Sequence[RunSpec], batch: int) -> List[tuple]:
 def execute_pack(specs: Sequence[RunSpec]) -> Tuple[List[dict], dict]:
     """Execute one pack; returns ``(records in spec order, stats)``.
 
-    Any exception inside the batched run -- :class:`PackAbort`, a
-    checkpoint problem, a simulator error the solo path would have
-    classified -- drops every unresolved member to
+    A :class:`PackAbort` -- the pack observed something outside its
+    invariants -- drops every member to
     :func:`~repro.faults.executor.execute_run`; records are pure, so
-    the result is identical either way.
+    the result is identical either way.  Any other exception is a bug
+    and propagates: a silent solo fallback would hide it behind lost
+    speed.
     """
     specs = list(specs)
     try:
         return _run_pack(specs)
-    except Exception:
+    except PackAbort:
         records = [execute_run(spec) for spec in specs]
         return records, {
             "packs": 1, "members": len(specs), "converged": 0,
@@ -243,7 +244,6 @@ def _run_pack(specs: List[RunSpec]) -> Tuple[List[dict], dict]:
         pack.reset()
         options = RunOptions(scheduler_policy=spec0.scheduler_policy,
                              cycle_budget=spec0.cycle_budget,
-                             injector=pack,
                              fast_forward=fast_forward,
                              convergence=pack)
         return run_application(make_benchmark(spec0.benchmark), card,

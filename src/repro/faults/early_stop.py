@@ -107,7 +107,7 @@ class ConvergenceMonitor:
         #: so divergence localization reuses the monitor's digests.
         self.observer = None
 
-    def next_cycle(self) -> Optional[int]:
+    def next_due(self) -> Optional[int]:
         """Earliest remaining check cycle (for the idle-skip clamp)."""
         if self.diverged or self._pos >= len(self._entries):
             return None
@@ -117,7 +117,8 @@ class ConvergenceMonitor:
         """Digest-compare when a golden checkpoint cycle is reached.
 
         Called at the top of every cycle-loop iteration, *before* the
-        injector -- the same point the golden checkpointer captured at.
+        injector observer -- the same point the golden checkpointer
+        captured at.
         Checkpoint cycles an injected run never visits (its timing
         diverged) are skipped, never misattributed.
         """

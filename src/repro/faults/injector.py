@@ -1,7 +1,10 @@
 """The injection engine: applies fault masks to live GPU state.
 
-The GPU cycle loop calls :meth:`Injector.apply_due` every iteration;
-when a mask's cycle is reached, the injector resolves its *spatial*
+An :class:`Injector` is a cycle-loop observer (last in
+:attr:`GPU.observers <repro.sim.gpu.GPU.observers>`): the loop calls
+its :meth:`~Injector.on_cycle` at the top of every iteration, and an
+idle skip lands exactly on :meth:`~Injector.next_due`.  When a mask's
+cycle is reached, the injector resolves its *spatial*
 target from run-time liveness (a random active thread/warp for the
 register file and local memory, random active CTAs for shared memory,
 random busy SIMT cores for the L1 caches -- section IV.B of the
@@ -27,7 +30,6 @@ ready cycles.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,24 +48,10 @@ class Injector:
     flips to the paper's deferred hook mechanism (see
     :mod:`repro.faults.hooks`); hooks encode one-shot flip semantics,
     so persistent models reject the combination.
-
-    The ``masks=`` keyword of the pre-strategy constructor still works
-    through a deprecation shim.
     """
 
     def __init__(self, faults: Optional[Sequence[FaultMask]] = None,
-                 cache_hook_mode: bool = False, *,
-                 masks: Optional[Sequence[FaultMask]] = None):
-        if masks is not None:
-            if faults is not None:
-                raise TypeError(
-                    "pass the fault list once: either positionally "
-                    "(faults) or via the deprecated masks= keyword")
-            warnings.warn(
-                "Injector(masks=...) is deprecated; pass the fault "
-                "list positionally (Injector(faults))",
-                DeprecationWarning, stacklevel=2)
-            faults = masks
+                 cache_hook_mode: bool = False):
         self.masks: List[FaultMask] = sorted(faults or (),
                                              key=lambda m: m.cycle)
         self.cache_hook_mode = cache_hook_mode
@@ -85,15 +73,16 @@ class Injector:
         # closures staged by the handler of the mask being applied
         self._staged: List[Callable] = []
 
-    def due_cycle(self) -> Optional[int]:
+    def next_due(self) -> Optional[int]:
         """Cycle of the earliest unapplied mask, or ``None``."""
         if self._next >= len(self.masks):
             return None
         return self.masks[self._next].cycle
 
-    def apply_due(self, gpu, now: int) -> None:
-        """Apply every mask whose cycle has been reached, then
+    def on_cycle(self, gpu, launch, queue) -> None:
+        """Apply every mask whose cycle ``gpu.cycle`` has reached, then
         re-assert live persistent faults."""
+        now = gpu.cycle
         while self._next < len(self.masks) and \
                 self.masks[self._next].cycle <= now:
             mask = self.masks[self._next]
@@ -109,6 +98,10 @@ class Injector:
             for record, reassert in self._persistent:
                 if reassert(gpu):
                     record["reasserted"] += 1
+
+    def on_host_read(self, tag: int, addr: int, nbytes: int,
+                     data) -> None:
+        """Host reads do not concern the injector."""
 
     # -- spatial resolution -------------------------------------------------
 

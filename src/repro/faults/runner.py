@@ -58,10 +58,7 @@ class RunResult:
         }
 
 
-def run_application(benchmark, card, injector=None,
-                    cycle_budget: Optional[int] = None,
-                    keep_device: bool = False,
-                    scheduler_policy: str = "gto",
+def run_application(benchmark, card, *, keep_device: bool = False,
                     options: Optional[RunOptions] = None,
                     device_factory=None) -> RunResult:
     """Execute one benchmark application on a fresh device.
@@ -69,27 +66,17 @@ def run_application(benchmark, card, injector=None,
     Args:
         benchmark: a :class:`repro.bench.base.Benchmark` instance.
         card: card name or :class:`~repro.sim.config.GPUConfig`.
-        injector: optional :class:`~repro.faults.injector.Injector`.
-        cycle_budget: watchdog budget; exceeding it yields "timeout".
         keep_device: retain the device on the result (profiling runs
             need its per-launch statistics).
-        scheduler_policy: warp scheduler ("gto" or "lrr").
-        options: a :class:`~repro.sim.device.RunOptions` bundling
-            the three previous arguments; mutually exclusive with
-            passing them individually.
+        options: the run's :class:`~repro.sim.device.RunOptions`
+            (scheduler, watchdog budget, injector and the other
+            observers); defaults to a plain fault-free run.
         device_factory: optional ``(card, options) -> Device``
             substitute for the :class:`~repro.sim.device.Device`
             constructor (the batched executor supplies one building a
             :class:`~repro.sim.batch.BatchedDevice`).
     """
-    if options is None:
-        options = RunOptions(scheduler_policy=scheduler_policy,
-                             cycle_budget=cycle_budget, injector=injector)
-    elif (injector is not None or cycle_budget is not None
-          or scheduler_policy != "gto"):
-        raise ValueError("pass either options= or the individual "
-                         "injector/cycle_budget/scheduler_policy "
-                         "arguments, not both")
+    options = options or RunOptions()
     injector = options.injector
     dev = (device_factory or Device)(card, options)
 

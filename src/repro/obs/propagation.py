@@ -48,7 +48,10 @@ class PropagationTracer:
     The injector registers corrupted sites at apply time
     (:meth:`on_register_site` & friends); the core issue path, the
     shared/local memory paths and the caches then report reads,
-    overwrites and evictions.  ``armed`` stays ``False`` until the
+    overwrites and evictions through ``gpu.propagation``.  The tracer
+    is also a cycle-loop observer (see :attr:`GPU.observers
+    <repro.sim.gpu.GPU.observers>`) for standalone divergence
+    localization.  ``armed`` stays ``False`` until the
     first site registration, so every pre-injection hook check is a
     single attribute test.
     """
@@ -336,7 +339,7 @@ class PropagationTracer:
         self._entries = sorted(entries, key=lambda e: e["cycle"])
         self._pos = 0
 
-    def next_cycle(self) -> Optional[int]:
+    def next_due(self) -> Optional[int]:
         """Next cycle a standalone digest check is due (idle-skip clamp)."""
         if self._pos < len(self._entries):
             return self._entries[self._pos]["cycle"]
@@ -369,6 +372,11 @@ class PropagationTracer:
             # full-state match means the rest of the run is golden;
             # stop digesting
             self._pos = len(entries)
+
+    def on_host_read(self, tag: int, addr: int, nbytes: int,
+                     data) -> None:
+        """Host reads are checked by the convergence monitor, which
+        reports a divergence through :meth:`on_host_divergence`."""
 
     def on_digest_check(self, cycle: int, matched: bool) -> None:
         """One golden-digest comparison result (observer callback)."""

@@ -38,10 +38,13 @@ influence shared state:
 Disagreeing members peel *before* the shared mutation; their columns
 keep executing harmlessly (writes land in slices nobody reads back).
 
-Fault injection reuses the real :class:`~repro.faults.injector
-.Injector`, one per member, pointed at that member's column through
-thin per-column views of the GPU object graph -- so injection logs
-(targets, RNG draws, applied cycles) are byte-identical to solo runs.
+The pack is a single cycle-loop observer (see :attr:`GPU.observers
+<repro.sim.gpu.GPU.observers>`), passed as the run's
+``RunOptions(convergence=...)``.  Fault injection reuses the real
+:class:`~repro.faults.injector.Injector`, one per member, pointed at
+that member's column through thin per-column views of the GPU object
+graph -- so injection logs (targets, RNG draws, applied cycles) are
+byte-identical to solo runs.
 
 Early convergence mirrors :class:`~repro.faults.early_stop
 .ConvergenceMonitor` per member: at every golden checkpoint cycle a
@@ -243,6 +246,10 @@ class _GPUView:
         self._col = col
 
     @property
+    def cycle(self) -> int:
+        return self._gpu.cycle
+
+    @property
     def cores(self) -> List[_CoreView]:
         return [_CoreView(core, self._col) for core in self._gpu.cores]
 
@@ -277,14 +284,13 @@ class PackMember:
 class LockstepPack:
     """Drives N member runs through one cycle loop.
 
-    Plays *both* duck-typed roles of an injected run's
-    :class:`~repro.sim.device.RunOptions`: the ``injector`` slot
-    (:meth:`apply_due`/:meth:`due_cycle` fan out to per-member real
-    injectors through column views) and the ``convergence`` slot
-    (:meth:`on_cycle` stacks freshly assigned CTAs, checks member
-    convergence against column 0, and raises :class:`PackDrained`
-    once nobody is left; :meth:`on_host_read` guards the shared
-    golden-memory invariant).
+    The run's only cycle-loop observer: :meth:`on_cycle` stacks
+    freshly assigned CTAs, resolves members whose column converged to
+    column 0, raises :class:`PackDrained` once nobody is left, then
+    fans injection out to the per-member real injectors through
+    column views; :meth:`next_due` is the earliest pending member
+    check or injection; :meth:`on_host_read` guards the shared
+    golden-memory invariant.
     """
 
     def __init__(self, members: Sequence[PackMember],
@@ -315,13 +321,6 @@ class LockstepPack:
         self._read_pos = 0
         self.peels = []
 
-    @property
-    def log(self):
-        """Injector-protocol shim: the per-*run* injection logs live on
-        the member injectors; the pack-level log the runner copies into
-        its (discarded) result is empty."""
-        return []
-
     def attach(self, gpu) -> None:
         self.gpu = gpu
         gpu.pack = self
@@ -350,12 +349,14 @@ class LockstepPack:
         for col in [c for c in self._unresolved if rows[c]]:
             self.peel(col, "divergence")
 
-    # -- the convergence-slot protocol ------------------------------------
+    # -- the cycle-loop observer protocol ---------------------------------
 
     def on_cycle(self, gpu, launch, queue) -> None:
         """Top-of-iteration hook: stack new CTAs, resolve converged
-        members, stop when drained.  Runs before the injector slot,
-        so stacking always precedes injection and issue."""
+        members, stop when drained, then inject.  Stacking precedes
+        injection and issue; each member's injector sees only its own
+        column, so logs and RNG draws are byte-identical to the solo
+        runs."""
         for core in gpu.cores:
             for cta in core.ctas:
                 if cta.smem.ndim == 1:
@@ -381,18 +382,20 @@ class LockstepPack:
                     self._unresolved.remove(col)
         if not self._unresolved:
             raise PackDrained()
+        for col in list(self._unresolved):
+            self._by_col[col].injector.on_cycle(_GPUView(gpu, col),
+                                                launch, queue)
 
-    def next_cycle(self) -> Optional[int]:
-        """Earliest remaining member convergence-check cycle (the
-        idle-skip clamp lands the loop exactly on it)."""
-        due = None
+    def next_due(self) -> Optional[int]:
+        """Earliest remaining member convergence-check or injection
+        cycle (the idle-skip clamp lands the loop exactly on it)."""
+        dues = []
         for col in self._unresolved:
             member = self._by_col[col]
+            dues.append(member.injector.next_due())
             if member.pos < len(member.entries):
-                cycle = member.entries[member.pos]["cycle"]
-                if due is None or cycle < due:
-                    due = cycle
-        return due
+                dues.append(member.entries[member.pos]["cycle"])
+        return min((due for due in dues if due is not None), default=None)
 
     @staticmethod
     def _column_matches_golden(gpu, col: int) -> bool:
@@ -433,24 +436,6 @@ class LockstepPack:
                 or not np.array_equal(rec["data"], data)):
             raise PackAbort(f"host read 0x{addr:x}+{nbytes} diverged "
                             "from the golden recording")
-
-    # -- the injector-slot protocol ---------------------------------------
-
-    def apply_due(self, gpu, now: int) -> None:
-        """Fan injection out to every unresolved member, each through
-        its own column view -- logs and RNG draws are byte-identical
-        to the solo runs."""
-        for col in list(self._unresolved):
-            member = self._by_col[col]
-            member.injector.apply_due(_GPUView(gpu, col), now)
-
-    def due_cycle(self) -> Optional[int]:
-        due = None
-        for col in self._unresolved:
-            cycle = self._by_col[col].injector.due_cycle()
-            if cycle is not None and (due is None or cycle < due):
-                due = cycle
-        return due
 
 
 # ---------------------------------------------------------------------------

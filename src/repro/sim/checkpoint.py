@@ -204,10 +204,13 @@ def campaign_fingerprint(benchmark, card, scheduler_policy: str) -> str:
 class CheckpointRecorder:
     """Captures snapshots during a golden run.
 
-    Attach via ``RunOptions(checkpointer=...)``: the GPU cycle loop
-    calls :meth:`on_cycle` at the top of every iteration and the
-    device calls :meth:`record_host_read` on every DtoH copy.  Always
-    captures at the first iteration of each kernel launch, then every
+    A cycle-loop observer, attached via ``RunOptions(checkpointer=...)``
+    (first in :attr:`GPU.observers <repro.sim.gpu.GPU.observers>`):
+    :meth:`on_cycle` runs at the top of every iteration and
+    :meth:`on_host_read` on every DtoH copy.  :meth:`next_due` never
+    clamps an idle skip: the golden run's iterations, and hence every
+    checkpoint cycle, must not depend on whether it is recorded.
+    Always captures at the first iteration of each kernel launch, then every
     ``interval`` cycles (or with geometrically growing spacing when
     ``interval`` is None, bounding the checkpoint count to
     O(launches + log(total cycles))).
@@ -245,8 +248,12 @@ class CheckpointRecorder:
             self._next_capture = gpu.cycle + max(_MIN_AUTO_STRIDE,
                                                  gpu.cycle // 2)
 
-    def record_host_read(self, tag: int, addr: int, nbytes: int,
-                         data) -> None:
+    def next_due(self) -> None:
+        """Never clamps (see the class docstring)."""
+        return None
+
+    def on_host_read(self, tag: int, addr: int, nbytes: int,
+                     data) -> None:
         """Record one DtoH copy (``tag`` = completed-launch count)."""
         self._host_reads.append({"tag": tag, "addr": addr,
                                  "nbytes": nbytes, "data": data.copy()})

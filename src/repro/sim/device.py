@@ -9,7 +9,6 @@ application cycle that fault-injection campaigns index into.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -28,32 +27,36 @@ _SCHEDULER_POLICIES = ("gto", "lrr")
 class RunOptions:
     """Execution options of one device run, fixed at construction.
 
-    Replaces the mutate-after-construction ``set_*`` calls: a device
-    (and :func:`repro.faults.runner.run_application`) accepts one
-    immutable options value, so a run is fully described by
-    ``(benchmark, card, options)`` -- a requirement for dispatching
+    A device (and :func:`repro.faults.runner.run_application`)
+    accepts one immutable options value, so a run is fully described
+    by ``(benchmark, card, options)`` -- a requirement for dispatching
     runs to worker processes.
+
+    Four fields are cycle-loop observers (see :attr:`GPU.observers
+    <repro.sim.gpu.GPU.observers>`); the device lists them in the
+    fixed order checkpointer, convergence, propagation, injector.
 
     Attributes:
         scheduler_policy: warp scheduler ("gto" or "lrr").
         cycle_budget: watchdog budget in global cycles (``None``
             disables the watchdog).
-        injector: optional :class:`repro.faults.injector.Injector`.
+        injector: optional :class:`repro.faults.injector.Injector`
+            observer applying fault masks at their cycles.
         checkpointer: optional
-            :class:`repro.sim.checkpoint.CheckpointRecorder` capturing
-            golden-run snapshots.
+            :class:`repro.sim.checkpoint.CheckpointRecorder` observer
+            capturing golden-run snapshots and host reads.
         fast_forward: optional
             :class:`repro.sim.checkpoint.FastForward` replaying the
             run prefix from a recorded checkpoint set.
         liveness: optional :class:`repro.sim.liveness.LivenessTrace`
             recording structure liveness during a golden run.
-        convergence: optional
-            :class:`repro.faults.early_stop.ConvergenceMonitor`
-            terminating an injected run once its state re-converges
-            with the golden run.
+        convergence: optional observer ending an injected run early:
+            a :class:`repro.faults.early_stop.ConvergenceMonitor`, or
+            the :class:`repro.sim.batch.LockstepPack` of a batched run.
         propagation: optional
-            :class:`repro.obs.propagation.PropagationTracer`
-            observing the fate of injected fault sites during the run.
+            :class:`repro.obs.propagation.PropagationTracer` observer
+            (also hooked into the caches) following the fate of
+            injected fault sites during the run.
     """
 
     scheduler_policy: str = "gto"
@@ -74,13 +77,6 @@ class RunOptions:
                 "mutually exclusive")
 
 
-def _deprecated_setter(name: str) -> None:
-    warnings.warn(
-        f"Device.{name}() is deprecated; pass a RunOptions to the "
-        "Device constructor (or to run_application) instead",
-        DeprecationWarning, stacklevel=3)
-
-
 class Device:
     """One simulated GPU device with a CUDA-like host API."""
 
@@ -98,20 +94,18 @@ class Device:
         self._apply_options(self.options)
 
     def _apply_options(self, options: RunOptions) -> None:
-        self.gpu.cycle_budget = options.cycle_budget
-        if options.injector is not None:
-            self.gpu.injector = options.injector
-        if options.checkpointer is not None:
-            self.gpu.checkpointer = options.checkpointer
+        gpu = self.gpu
+        gpu.cycle_budget = options.cycle_budget
         self._fast_forward = options.fast_forward
         if options.liveness is not None:
-            self.gpu.set_liveness(options.liveness)
-        if options.convergence is not None:
-            self.gpu.convergence = options.convergence
+            gpu.set_liveness(options.liveness)
         if options.propagation is not None:
-            self.gpu.set_propagation(options.propagation)
+            gpu.set_propagation(options.propagation)
+        gpu.observers = [observer for observer in (
+            options.checkpointer, options.convergence,
+            options.propagation, options.injector) if observer is not None]
         if options.scheduler_policy != "gto":
-            for core in self.gpu.cores:
+            for core in gpu.cores:
                 core.scheduler_policy = options.scheduler_policy
 
     # -- memory management ------------------------------------------------
@@ -139,25 +133,19 @@ class Device:
                     dtype=np.uint8) -> np.ndarray:
         """Copy device memory back to the host as a numpy array.
 
-        During a golden capture the copy is recorded; during a
-        fast-forwarded replay, copies before the restore point are
-        served from the recording (host control flow replays exactly).
+        During a fast-forwarded replay, copies before the restore point
+        are served from the golden recording (host control flow replays
+        exactly).  Either way every observer's ``on_host_read`` sees
+        the copy, so their sequential positions stay aligned.
         """
         tag = len(self.gpu.stats.launches)
         ff = self._fast_forward
-        monitor = self.gpu.convergence
         if ff is not None and not ff.done:
             raw = ff.on_host_read(ptr, nbytes, tag)
-            if monitor is not None:
-                # served bytes ARE the recorded bytes; fed to the
-                # monitor so its sequential position stays aligned
-                monitor.on_host_read(tag, ptr, nbytes, raw)
-            return raw.view(dtype)
-        raw = self.gpu.host_read(ptr, nbytes)
-        if self.gpu.checkpointer is not None:
-            self.gpu.checkpointer.record_host_read(tag, ptr, nbytes, raw)
-        if monitor is not None:
-            monitor.on_host_read(tag, ptr, nbytes, raw)
+        else:
+            raw = self.gpu.host_read(ptr, nbytes)
+        for observer in self.gpu.observers:
+            observer.on_host_read(tag, ptr, nbytes, raw)
         return raw.view(dtype)
 
     def read_array(self, ptr: int, shape, dtype) -> np.ndarray:
@@ -197,21 +185,3 @@ class Device:
     def launches(self) -> List[LaunchStats]:
         """Stats of every completed launch."""
         return self.gpu.stats.launches
-
-    def set_cycle_budget(self, budget: Optional[int]) -> None:
-        """Deprecated -- pass ``RunOptions(cycle_budget=...)`` instead."""
-        _deprecated_setter("set_cycle_budget")
-        self.gpu.cycle_budget = budget
-
-    def set_injector(self, injector) -> None:
-        """Deprecated -- pass ``RunOptions(injector=...)`` instead."""
-        _deprecated_setter("set_injector")
-        self.gpu.injector = injector
-
-    def set_scheduler_policy(self, policy: str) -> None:
-        """Deprecated -- pass ``RunOptions(scheduler_policy=...)`` instead."""
-        _deprecated_setter("set_scheduler_policy")
-        if policy not in _SCHEDULER_POLICIES:
-            raise ValueError("scheduler policy must be 'gto' or 'lrr'")
-        for core in self.gpu.cores:
-            core.scheduler_policy = policy

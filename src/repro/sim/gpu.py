@@ -1,11 +1,12 @@
 """The top-level GPU: cores, L2, DRAM, GigaThread scheduler, cycle loop.
 
 The cycle loop advances one cycle at a time while any scheduler can
-issue, and skips ahead to the next scoreboard wake-up (or pending
-fault-injection cycle) when every warp is stalled -- preserving exact
-cycle accounting at a fraction of the cost.  Deadlock (no warp can ever
-wake) raises :class:`~repro.sim.errors.DeadlockError`, and exceeding
-the externally set cycle budget raises
+issue, and skips ahead to the next scoreboard wake-up (or the next
+cycle an observer in :attr:`GPU.observers` is due) when every warp is
+stalled -- preserving exact cycle accounting at a fraction of the
+cost.  Deadlock (no warp can ever wake) raises
+:class:`~repro.sim.errors.DeadlockError`, and exceeding the externally
+set cycle budget raises
 :class:`~repro.sim.errors.SimTimeout`; the fault classifier maps both
 to the paper's *Timeout* outcome.
 """
@@ -45,21 +46,19 @@ class GPU:
         self.cycle = 0
         #: Optional cycle budget; exceeded -> :class:`SimTimeout`.
         self.cycle_budget: Optional[int] = None
-        #: Optional fault injector (duck-typed; see repro.faults.injector).
-        self.injector = None
-        #: Optional checkpoint recorder (duck-typed; see
-        #: repro.sim.checkpoint): its ``on_cycle(gpu, launch, queue)``
-        #: runs at the top of every cycle-loop iteration.
-        self.checkpointer = None
+        #: Per-cycle observers, called in list order (the device builds
+        #: the list: checkpointer, convergence, propagation, injector).
+        #: Each provides ``on_cycle(gpu, launch, queue)``, run at the
+        #: top of every loop iteration; ``next_due()``, the cycle an
+        #: idle skip must land on (``None`` never clamps); and
+        #: ``on_host_read(tag, addr, nbytes, data)``, run by
+        #: :meth:`repro.sim.device.Device.memcpy_dtoh` on every copy.
+        self.observers: list = []
         #: Optional liveness recorder for the golden run (duck-typed;
         #: see repro.sim.liveness) -- attach via :meth:`set_liveness`.
         self.liveness = None
-        #: Optional convergence monitor for injected runs (duck-typed;
-        #: see repro.faults.early_stop): checked after the checkpointer,
-        #: before the injector, at matching checkpoint cycles.
-        self.convergence = None
-        #: Optional fault-propagation tracer for injected runs
-        #: (duck-typed; see repro.obs.propagation) -- attach via
+        #: Optional fault-propagation tracer's event hooks (duck-typed;
+        #: see repro.obs.propagation) -- attach via
         #: :meth:`set_propagation`.  Strictly observational.
         self.propagation = None
         #: Per-bank busy-until cycles for L2 contention modelling.
@@ -190,19 +189,8 @@ class GPU:
         try:
             while queue or busy:
                 self.loop_iterations += 1
-                if self.checkpointer is not None:
-                    self.checkpointer.on_cycle(self, launch, queue)
-                if self.convergence is not None:
-                    # may raise EarlyConvergence; runs before the
-                    # injector, mirroring the golden checkpointer order
-                    self.convergence.on_cycle(self, launch, queue)
-                if self.propagation is not None:
-                    # standalone divergence localization (no monitor):
-                    # digests live state at golden checkpoint cycles;
-                    # observation only, never alters control flow
-                    self.propagation.on_cycle(self, launch, queue)
-                if self.injector is not None:
-                    self.injector.apply_due(self, self.cycle)
+                for observer in self.observers:
+                    observer.on_cycle(self, launch, queue)
                 issued = False
                 wake = NEVER
                 for core in busy:
@@ -239,19 +227,11 @@ class GPU:
         return self.stats.end_launch(self.cycle)
 
     def _clamp_idle_skip(self, delta: int) -> int:
-        """Shrink an idle skip so it lands exactly on the next pending
-        injection or convergence-check cycle (splitting a skip leaves
-        the sampled stats integrals unchanged)."""
-        if self.injector is not None:
-            due = self.injector.due_cycle()
-            if due is not None and self.cycle < due < self.cycle + delta:
-                delta = due - self.cycle
-        if self.convergence is not None:
-            due = self.convergence.next_cycle()
-            if due is not None and self.cycle < due < self.cycle + delta:
-                delta = due - self.cycle
-        if self.propagation is not None:
-            due = self.propagation.next_cycle()
+        """Shrink an idle skip so it lands exactly on the earliest
+        observer ``next_due()`` cycle inside it (splitting a skip
+        leaves the sampled stats integrals unchanged)."""
+        for observer in self.observers:
+            due = observer.next_due()
             if due is not None and self.cycle < due < self.cycle + delta:
                 delta = due - self.cycle
         return delta

@@ -13,6 +13,7 @@ from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.executor import CampaignExecutor
 from repro.faults.targets import Structure
 from repro.obs.metrics import metrics_path_for
+from repro.sim.batch import PackAbort
 
 BATCHABLE = (Structure.REGISTER_FILE, Structure.SHARED_MEM,
              Structure.LOCAL_MEM)
@@ -139,13 +140,31 @@ class TestPeelOff:
         assert stats["solo_fallback"] == 0, stats
         assert len(stats["peel_cycles"]) == stats["peeled"]
 
-    def test_pack_falls_back_solo_on_internal_error(self, tmp_path,
-                                                    monkeypatch):
-        campaign = Campaign(make_config())
-        specs = campaign.plan()
-        units = group_packs(specs, 4)
-        pack = next(payload for kind, payload in units
-                    if kind == "pack")
+    @staticmethod
+    def _first_pack():
+        units = group_packs(Campaign(make_config()).plan(), 4)
+        return next(payload for kind, payload in units if kind == "pack")
+
+    def test_pack_falls_back_solo_on_internal_error(self, monkeypatch):
+        pack = self._first_pack()
+
+        import repro.faults.batch_executor as bx
+
+        def abort(specs):
+            raise PackAbort("injected pack abort")
+
+        monkeypatch.setattr(bx, "_run_pack", abort)
+        records, stats = execute_pack(pack)
+        assert len(records) == len(pack)
+        assert stats["solo_fallback"] == len(pack)
+        solo = [bx.execute_run(spec) for spec in pack]
+        assert (canonical_log_text(records)
+                == canonical_log_text(solo))
+
+    def test_pack_bug_propagates(self, monkeypatch):
+        # only PackAbort is a fallback contract; anything else is a bug
+        # that a silent solo re-run would hide behind lost speed
+        pack = self._first_pack()
 
         import repro.faults.batch_executor as bx
 
@@ -153,12 +172,8 @@ class TestPeelOff:
             raise RuntimeError("injected pack failure")
 
         monkeypatch.setattr(bx, "_run_pack", boom)
-        records, stats = execute_pack(pack)
-        assert len(records) == len(pack)
-        assert stats["solo_fallback"] == len(pack)
-        solo = [bx.execute_run(spec) for spec in pack]
-        assert (canonical_log_text(records)
-                == canonical_log_text(solo))
+        with pytest.raises(RuntimeError, match="injected pack failure"):
+            execute_pack(pack)
 
 
 class TestPlanGate:

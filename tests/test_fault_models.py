@@ -204,20 +204,6 @@ class TestMaskRoundTrip:
         assert out["fault_model"] == "stuck_at_1"
 
 
-class TestDeprecatedConstructor:
-    def test_masks_kwarg_warns(self):
-        mask = FaultMask(structure=Structure.REGISTER_FILE, cycle=10,
-                         entry_index=2, bit_offsets=(1,), seed=5)
-        with pytest.warns(DeprecationWarning,
-                          match=r"Injector\(masks=\.\.\.\)"):
-            injector = Injector(masks=[mask])
-        assert injector.due_cycle() == 10
-
-    def test_both_forms_is_an_error(self):
-        with pytest.raises(TypeError):
-            Injector([], masks=[])
-
-
 class TestStuckAtPersistence:
     def test_reasserted_after_overwrite(self):
         # liveness would call R10 dead at cycle 250 (rewritten before

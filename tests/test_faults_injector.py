@@ -75,7 +75,7 @@ class TestRegisterFileInjection:
         dev, injector, out = run_with(
             [mask_for(Structure.REGISTER_FILE, cycle=10**9)])
         assert not injector.log  # never applied
-        assert injector.due_cycle() == 10**9
+        assert injector.next_due() == 10**9
 
     def test_deterministic_spatial_pick(self):
         mask = mask_for(Structure.REGISTER_FILE, seed=99)
@@ -194,7 +194,7 @@ class TestInjectorMechanics:
 
     def test_due_cycle_advances(self):
         injector = Injector([mask_for(Structure.L2_CACHE, cycle=5)])
-        assert injector.due_cycle() == 5
+        assert injector.next_due() == 5
 
     def test_multi_structure_same_run(self):
         masks = [mask_for(Structure.REGISTER_FILE, cycle=230, seed=3),

@@ -404,7 +404,7 @@ class TestUnappliedInjections:
         mask = FaultMask(Structure.REGISTER_FILE, cycle=0, entry_index=3,
                          bit_offsets=(0,))
         injector = Injector([mask])
-        injector.apply_due(gpu, now=0)
+        injector.on_cycle(gpu, None, None)
         record = injector.log[0]
         assert record["target"] == "none"
         assert record["applied"] is False
